@@ -10,7 +10,9 @@
 //
 // Absolute throughput differs from the authors' SAP ESP testbed; the shapes
 // (who wins, by what factor, how metrics move with Γ, P, L, g) are the
-// reproduction target. See EXPERIMENTS.md for the full-horizon numbers.
+// reproduction target. `go run ./cmd/qdhjbench` runs the full horizons and
+// writes the throughput JSON recorded as BENCH_*.json at the repository
+// root; e2ebench/ measures the end-to-end system (see e2ebench/NOTES.md).
 package qdhj
 
 import (

@@ -16,6 +16,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/profiler"
@@ -31,9 +32,10 @@ import (
 // distributions are merged. The seam keeps this package free of any
 // dependency on how statistics are collected.
 type Source interface {
-	// CDF returns Pr[D_i ≤ d] over coarse g-buckets for model input i; nil
-	// means "no delays observed" (all mass at zero).
-	CDF(i int) []float64
+	// CDF writes Pr[D_i ≤ d] over coarse g-buckets for model input i into
+	// dst, reusing its capacity, and returns it; an empty result means "no
+	// delays observed" (all mass at zero).
+	CDF(i int, dst []float64) []float64
 	// KSync estimates the Synchronizer's implicit buffer for input i.
 	KSync(i int) stream.Time
 	// MaxDelayRecent returns MaxD^H over the inputs' recent histories.
@@ -195,6 +197,7 @@ type Model struct {
 	windows []stream.Time
 	stats   Source
 	mon     ResultWindow
+	ev      evaluator // reused across decisions: Decide allocates nothing
 
 	// instrumentation for Fig. 11 and the ablation benches
 	steps      int64
@@ -207,15 +210,20 @@ type Model struct {
 // NewModel creates the model-based policy. windows are the W_i of the model
 // inputs (one per Source input).
 func NewModel(cfg Config, windows []stream.Time, st Source, mon ResultWindow) *Model {
-	return &Model{cfg: cfg.Normalize(), windows: windows, stats: st, mon: mon}
+	m := &Model{cfg: cfg.Normalize(), windows: windows, stats: st, mon: mon}
+	m.ev.init(m)
+	return m
 }
 
 // Name implements Policy.
 func (m *Model) Name() string { return "Model(" + m.cfg.Strategy.String() + ")" }
 
-// Decide implements Policy: Alg. 3. Per-stream cumulative delay
-// distributions are snapshotted once per decision so each candidate K
-// evaluates in O(m·ΣW_i/b) with O(1) CDF lookups.
+// Decide implements Policy: Alg. 3. Per-input cumulative delay
+// distributions and their strided prefix sums are snapshotted once per
+// decision, in O(Σ_i |CDF_i|), into buffers the model reuses, so each
+// candidate K evaluates in O(Σ_i q_i), where q_i is the denominator of
+// min(b, W_i)/g in lowest terms: O(m) at the paper's b = g. In steady state
+// a decision allocates nothing.
 func (m *Model) Decide(now stream.Time, snap *profiler.Snapshot) stream.Time {
 	return m.decide(now, snap, m.instantRequirement(snap))
 }
@@ -234,27 +242,34 @@ func (m *Model) DecideShared(now stream.Time, snap *profiler.Snapshot, gammaPrim
 
 func (m *Model) decide(now stream.Time, snap *profiler.Snapshot, gammaPrime float64) stream.Time {
 	start := time.Now()
-	maxDH := m.stats.MaxDelayRecent()
 	m.lastGammaP = gammaPrime
-	ev := m.newEvaluator()
-
-	var k stream.Time
-	if m.cfg.Search == BinarySearch {
-		k = m.searchBinary(ev, snap, gammaPrime, maxDH)
-	} else {
-		k = m.searchLinear(ev, snap, gammaPrime, maxDH)
-	}
-	if k > maxDH {
-		k = maxDH
-	}
+	m.ev.load()
+	k := m.search(&m.ev, snap, gammaPrime, m.stats.MaxDelayRecent())
 	m.steps++
 	m.adaptTime += time.Since(start)
 	return k
 }
 
+// recaller is the γ(L,K) estimate the Alg. 3 search probes. *evaluator is
+// the production one; tests plug in a reference.
+type recaller interface {
+	recall(k stream.Time, snap *profiler.Snapshot) float64
+}
+
+// search runs the configured Alg. 3 search against r and caps k* at MaxD^H.
+func (m *Model) search(r recaller, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
+	var k stream.Time
+	if m.cfg.Search == BinarySearch {
+		k = m.searchBinary(r, snap, gammaPrime, maxDH)
+	} else {
+		k = m.searchLinear(r, snap, gammaPrime, maxDH)
+	}
+	return min(k, maxDH)
+}
+
 // searchLinear is Alg. 3 as printed: scan k* = 0, g, 2g, … until the model
 // meets the instant requirement or the maximum observed delay is exceeded.
-func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
+func (m *Model) searchLinear(ev recaller, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
 	var k stream.Time
 	for {
 		m.iterations++
@@ -269,7 +284,7 @@ func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 
 // searchBinary finds the smallest multiple of g meeting the requirement
 // with O(log) model evaluations.
-func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
+func (m *Model) searchBinary(ev recaller, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
 	m.iterations++
 	if r := ev.recall(0, snap); r >= gammaPrime {
 		m.lastRecall = r
@@ -295,33 +310,78 @@ func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 	return hi * m.cfg.G
 }
 
-// evaluator caches, for one adaptation step, each stream's cumulative
-// coarse-delay distribution and Synchronizer buffer estimate, so the Alg. 3
-// search can probe many K candidates cheaply.
+// evaluator caches, for one adaptation step, each input's cumulative
+// coarse-delay distribution, its stride-p prefix sums and its Synchronizer
+// buffer estimate, so the Alg. 3 search can probe many K candidates
+// cheaply. Its buffers live as long as the Model and are refilled by load.
 type evaluator struct {
-	m     *Model
-	cum   [][]float64 // cum[i][d] = Pr[D_i ≤ d]; nil means "no delays seen"
-	ksync []stream.Time
-	den   float64 // Σ_i Π_{j≠i} W_j, constant across K
+	m          *Model
+	in         []evalInput
+	fdk0, effW []float64 // per-candidate scratch of recall
+	den        float64   // Σ_i Π_{j≠i} W_j, constant across K
 }
 
-func (m *Model) newEvaluator() *evaluator {
+// evalInput is one model input's share of the evaluator. Its basic windows
+// (Eq. 3) have width b = min(B, W) except the last, which is W − (n−1)·b
+// wide; window l starts ⌊(l−1)·b/g⌋ coarse buckets into the delay
+// distribution, and b/g = p/q in lowest terms.
+type evalInput struct {
+	cum   []float64 // cum[d] = Pr[D ≤ d]; empty means "no delays seen"
+	ones  int       // cum[d] = 1 for every d ≥ ones, exactly
+	pre   []float64 // pre[x] = Σ cum[y] over y ≤ x, y ≡ x (mod p), x < ones
+	ksync stream.Time
+
+	b, last stream.Time
+	n, p, q int
+}
+
+func (ev *evaluator) init(m *Model) {
 	n := len(m.windows)
-	ev := &evaluator{m: m, cum: make([][]float64, n), ksync: make([]stream.Time, n)}
-	for i := 0; i < n; i++ {
-		ev.cum[i] = m.stats.CDF(i)
-		ev.ksync[i] = m.stats.KSync(i)
-	}
-	for i := 0; i < n; i++ {
+	ev.m = m
+	ev.in = make([]evalInput, n)
+	ev.fdk0 = make([]float64, n)
+	ev.effW = make([]float64, n)
+	for i, w := range m.windows {
+		in := &ev.in[i]
+		in.b = min(m.cfg.B, w)
+		if in.b > 0 {
+			in.n = int((w + in.b - 1) / in.b)
+			in.last = w - stream.Time(in.n-1)*in.b
+			gcd := int64(in.b)
+			for r := int64(m.cfg.G); r != 0; {
+				gcd, r = r, gcd%r
+			}
+			in.p, in.q = int(int64(in.b)/gcd), int(int64(m.cfg.G)/gcd)
+		}
 		p := 1.0
-		for j := 0; j < n; j++ {
+		for j, wj := range m.windows {
 			if j != i {
-				p *= float64(m.windows[j])
+				p *= float64(wj)
 			}
 		}
 		ev.den += p
 	}
-	return ev
+}
+
+// load snapshots every input's CDF and Synchronizer estimate and rebuilds
+// the stride-p prefix sums, in O(|CDF|) per input.
+func (ev *evaluator) load() {
+	for i := range ev.in {
+		in := &ev.in[i]
+		in.cum = ev.m.stats.CDF(i, in.cum)
+		in.ksync = ev.m.stats.KSync(i)
+		in.ones = len(in.cum)
+		for in.ones > 0 && in.cum[in.ones-1] == 1 {
+			in.ones--
+		}
+		in.pre = slices.Grow(in.pre[:0], in.ones)[:in.ones]
+		for x, c := range in.cum[:in.ones] {
+			if x >= in.p {
+				c += in.pre[x-in.p]
+			}
+			in.pre[x] = c
+		}
+	}
 }
 
 // cdf returns Pr[D_i ≤ d] in O(1).
@@ -329,8 +389,8 @@ func (ev *evaluator) cdf(i, d int) float64 {
 	if d < 0 {
 		return 0
 	}
-	c := ev.cum[i]
-	if len(c) == 0 || d >= len(c) {
+	c := ev.in[i].cum
+	if d >= len(c) {
 		return 1
 	}
 	return c[d]
@@ -339,20 +399,18 @@ func (ev *evaluator) cdf(i, d int) float64 {
 // recall evaluates γ(L,K) per Eq. (5).
 func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 	m := ev.m
-	n := len(m.windows)
-	effW := make([]float64, n)
-	fdk0 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		shift := int((k + ev.ksync[i]) / m.cfg.G)
-		fdk0[i] = ev.cdf(i, shift)
-		effW[i] = ev.effectiveWindow(i, shift)
+	n := len(ev.in)
+	for i := range ev.in {
+		shift := int((k + ev.in[i].ksync) / m.cfg.G)
+		ev.fdk0[i] = ev.cdf(i, shift)
+		ev.effW[i] = ev.effectiveWindow(i, shift)
 	}
 	var num float64
 	for i := 0; i < n; i++ {
-		pn := fdk0[i]
+		pn := ev.fdk0[i]
 		for j := 0; j < n; j++ {
 			if j != i {
-				pn *= effW[j]
+				pn *= ev.effW[j]
 			}
 		}
 		num += pn
@@ -373,25 +431,44 @@ func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 	return gamma
 }
 
-// effectiveWindow evaluates Σ_l |w^l_j| / r_j (Eq. 3) with O(1) lookups.
+// effectiveWindow evaluates Σ_l |w^l_j| / r_j (Eq. 3) in O(min(q, n)):
+// the offsets of the n−1 full-width windows, ⌊t·p/q⌋ for t = 0…n−2, split
+// into q arithmetic progressions of stride p (t ≡ r mod q), each summed by
+// progression; the last window adds one more term. DESIGN.md §15 derives it.
 func (ev *evaluator) effectiveWindow(j, shift int) float64 {
-	m := ev.m
-	w := m.windows[j]
-	b := m.cfg.B
-	if b > w {
-		b = w
+	in := &ev.in[j]
+	if in.n == 0 {
+		return 0
 	}
-	n := int((w + b - 1) / b)
-	var sum float64
-	for l := 1; l <= n; l++ {
-		width := b
-		if l == n {
-			width = w - stream.Time(n-1)*b
+	var full float64
+	for r := 0; r < in.q && r < in.n-1; r++ {
+		full += in.progression(shift+r*in.p/in.q, (in.n-2-r)/in.q+1)
+	}
+	return float64(in.b)*full + float64(in.last)*ev.cdf(j, shift+(in.n-1)*in.p/in.q)
+}
+
+// progression returns Σ_{s<cnt} Pr[D ≤ x0 + s·p] with two prefix lookups:
+// offsets below zero contribute 0 and offsets from ones on contribute
+// exactly 1 each, so a K that covers the whole distribution yields the
+// exact window size, as the term-by-term sum does.
+func (in *evalInput) progression(x0, cnt int) float64 {
+	if x0 < 0 {
+		skip := (in.p - 1 - x0) / in.p
+		if skip >= cnt {
+			return 0
 		}
-		d := int(stream.Time(l-1) * b / m.cfg.G)
-		sum += float64(width) * ev.cdf(j, shift+d)
+		x0 += skip * in.p
+		cnt -= skip
 	}
-	return sum
+	if x0 >= in.ones {
+		return float64(cnt)
+	}
+	inside := min(cnt, (in.ones-1-x0)/in.p+1)
+	sum := in.pre[x0+(inside-1)*in.p]
+	if x0 >= in.p {
+		sum -= in.pre[x0-in.p]
+	}
+	return sum + float64(cnt-inside)
 }
 
 // instantRequirement derives Γ′ per Eq. (7) and applies it clamped to
@@ -422,10 +499,12 @@ func (m *Model) instantRequirement(snap *profiler.Snapshot) float64 {
 	return gp
 }
 
-// EstimateRecall computes γ(L,K) per Eq. (5). It builds a fresh evaluator
-// per call; loops over many K values should use Decide, which caches one.
+// EstimateRecall computes γ(L,K) per Eq. (5). It reloads the model's
+// evaluator from the Source on every call; loops over many K values should
+// use Decide, which loads it once per decision.
 func (m *Model) EstimateRecall(k stream.Time, snap *profiler.Snapshot) float64 {
-	return m.newEvaluator().recall(k, snap)
+	m.ev.load()
+	return m.ev.recall(k, snap)
 }
 
 // InstantRequirement exposes Γ′ computation for tests.

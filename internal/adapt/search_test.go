@@ -8,24 +8,26 @@ import (
 )
 
 // TestBinarySearchMatchesLinear: under the monotone EqSel model, binary and
-// linear search must agree exactly for random delay profiles.
+// linear search must agree exactly for random delay profiles, at the
+// default b = g and at the non-default b/g ratios of the Eq. 3 differential.
 func TestBinarySearchMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 48; trial++ {
+		r := eq3Ratios[trial%len(eq3Ratios)]
 		frac := 0.1 + 0.6*rng.Float64()
-		d := stream.Time(50 + rng.Intn(400))
-		st := buildStats(2, 10, frac, d, 1500)
+		d := stream.Time(50+rng.Intn(400)) * max(1, r.g/10)
+		st := buildStats(2, r.g, frac, d, 1500)
 		gamma := []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999}[rng.Intn(6)]
 
-		lin, _ := modelWith(st, []stream.Time{5000, 5000},
-			Config{Gamma: gamma, NoCalibration: true, Search: LinearSearch})
-		bin, _ := modelWith(st, []stream.Time{5000, 5000},
-			Config{Gamma: gamma, NoCalibration: true, Search: BinarySearch})
+		cfg := Config{Gamma: gamma, NoCalibration: true, B: r.b, G: r.g}
+		lin, _ := modelWith(st, []stream.Time{5000, 5003}, cfg)
+		cfg.Search = BinarySearch
+		bin, _ := modelWith(st, []stream.Time{5000, 5003}, cfg)
 		kl := lin.Decide(0, nil)
 		kb := bin.Decide(0, nil)
 		if kl != kb {
-			t.Fatalf("trial %d (Γ=%v frac=%.2f d=%d): linear %d vs binary %d",
-				trial, gamma, frac, d, kl, kb)
+			t.Fatalf("trial %d (b=%d g=%d Γ=%v frac=%.2f d=%d): linear %d vs binary %d",
+				trial, r.b, r.g, gamma, frac, d, kl, kb)
 		}
 	}
 }

@@ -2,9 +2,12 @@ package feedback
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adapt"
+	"repro/internal/monitor"
+	"repro/internal/profiler"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -63,9 +66,9 @@ func TestScopeSourceMerge(t *testing.T) {
 	push(2, 1000)
 
 	src := newScopeSource(mgr, [][]int{{0, 1}, {2}})
-	cdf := src.CDF(0)
-	if cdf == nil {
-		t.Fatal("merged CDF is nil despite observed delays")
+	cdf := src.CDF(0, nil)
+	if len(cdf) == 0 {
+		t.Fatal("merged CDF is empty despite observed delays")
 	}
 	// 6 arrivals in the group, 5 with delay 0, one in bucket 3 (30ms at
 	// g=10ms): Pr[D ≤ 0] = 5/6, Pr[D ≤ 30ms] = 1.
@@ -100,7 +103,7 @@ func TestSingleScopeMatchesManager(t *testing.T) {
 	}
 	src := newScopeSource(mgr, [][]int{{0}, {1}})
 	for i := 0; i < 2; i++ {
-		a, b := src.CDF(i), mgr.CDF(i)
+		a, b := src.CDF(i, nil), mgr.CDF(i, nil)
 		if len(a) != len(b) {
 			t.Fatalf("stream %d: CDF lengths differ", i)
 		}
@@ -115,5 +118,54 @@ func TestSingleScopeMatchesManager(t *testing.T) {
 	}
 	if src.MaxDelayRecent() != mgr.MaxDelayRecent() {
 		t.Error("MaxDelayRecent differs from manager")
+	}
+}
+
+// TestModelDecideZeroAllocs: once a first decision has sized the model's
+// buffers, Decide allocates nothing — with the Statistics Manager as the
+// source, and with a scope source whose first input merges two streams (a
+// tree stage's left input) — under both Alg. 3 searches.
+func TestModelDecideZeroAllocs(t *testing.T) {
+	g := 10 * stream.Millisecond
+	mgr := stats.NewManager(3, g)
+	rng := rand.New(rand.NewSource(3))
+	prof := profiler.New(g)
+	ts := stream.Time(1000)
+	for i := 0; i < 3000; i++ {
+		ts += 10
+		for src := 0; src < 3; src++ {
+			at := ts
+			if rng.Intn(4) == 0 {
+				at -= stream.Time(rng.Intn(400))
+			}
+			mgr.Observe(&stream.Tuple{Src: src, TS: at})
+			prof.RecordInOrder(ts-at, 1+rng.Int63n(20), rng.Int63n(5))
+		}
+	}
+	snap := prof.Snapshot()
+	cfg := adapt.Config{Gamma: 0.95, P: 10 * stream.Second, L: stream.Second}.Normalize()
+	mon := monitor.New(cfg.P-cfg.L, int((cfg.P-cfg.L)/cfg.L))
+	w := stream.Second
+	sources := []struct {
+		name    string
+		src     adapt.Source
+		windows []stream.Time
+	}{
+		{"manager", mgr, []stream.Time{w, w, w}},
+		{"merged-scope", newScopeSource(mgr, [][]int{{0, 1}, {2}}), []stream.Time{w, w}},
+	}
+	for _, sc := range sources {
+		for _, search := range []adapt.Search{adapt.LinearSearch, adapt.BinarySearch} {
+			c := cfg
+			c.Search = search
+			m := adapt.NewModel(c, sc.windows, sc.src, mon)
+			k := m.Decide(ts, snap) // warm-up: sizes the CDF and prefix buffers
+			if k == 0 {
+				t.Fatalf("%s/%v: decided K = 0; the gate would not exercise the search", sc.name, search)
+			}
+			if n := testing.AllocsPerRun(20, func() { m.Decide(ts, snap) }); n != 0 {
+				t.Errorf("%s/%v: Decide allocated %v times per call, want 0", sc.name, search, n)
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package feedback
 
 import (
+	"slices"
+
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -27,51 +29,52 @@ import (
 type scopeSource struct {
 	mgr    *stats.Manager
 	groups [][]int
+	member []float64 // scratch for one member CDF during a group merge
 }
 
 func newScopeSource(mgr *stats.Manager, groups [][]int) *scopeSource {
 	return &scopeSource{mgr: mgr, groups: groups}
 }
 
-// CDF implements adapt.Source.
-func (s *scopeSource) CDF(i int) []float64 {
+// CDF implements adapt.Source. A group merge accumulates the member terms
+// in member order, then divides once, so it reuses dst and one member
+// scratch slice without allocating in steady state.
+func (s *scopeSource) CDF(i int, dst []float64) []float64 {
 	g := s.groups[i]
 	if len(g) == 1 {
-		return s.mgr.CDF(g[0])
+		return s.mgr.CDF(g[0], dst)
 	}
-	var (
-		cdfs    [][]float64
-		weights []int64
-		tot     int64
-		maxLen  int
-	)
+	var tot int64
+	n := 0
 	for _, st := range g {
-		n := s.mgr.Hist(st).Total()
-		if n == 0 {
+		h := s.mgr.Hist(st)
+		if h.Total() == 0 {
 			continue
 		}
-		c := s.mgr.CDF(st)
-		cdfs = append(cdfs, c)
-		weights = append(weights, n)
-		tot += n
-		if len(c) > maxLen {
-			maxLen = len(c)
+		tot += h.Total()
+		n = max(n, h.MaxBucket()+1)
+	}
+	if tot == 0 {
+		return dst[:0]
+	}
+	out := slices.Grow(dst[:0], n)[:n]
+	clear(out)
+	for _, st := range g {
+		w := s.mgr.Hist(st).Total()
+		if w == 0 {
+			continue
 		}
-	}
-	if tot == 0 || maxLen == 0 {
-		return nil
-	}
-	out := make([]float64, maxLen)
-	for d := 0; d < maxLen; d++ {
-		var v float64
-		for j, c := range cdfs {
+		s.member = s.mgr.CDF(st, s.member)
+		for d := range out {
 			p := 1.0 // past a CDF's top bucket all its mass is covered
-			if d < len(c) {
-				p = c[d]
+			if d < len(s.member) {
+				p = s.member[d]
 			}
-			v += float64(weights[j]) * p
+			out[d] += float64(w) * p
 		}
-		out[d] = v / float64(tot)
+	}
+	for d := range out {
+		out[d] /= float64(tot)
 	}
 	return out
 }

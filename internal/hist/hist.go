@@ -8,7 +8,11 @@
 // shifted pdf f_{D^K} of Eq. (2) for any candidate buffer size K.
 package hist
 
-import "repro/internal/stream"
+import (
+	"slices"
+
+	"repro/internal/stream"
+)
 
 // Histogram counts coarse-grained tuple delays.
 type Histogram struct {
@@ -104,22 +108,21 @@ func (h *Histogram) P(d int) float64 {
 	return float64(h.counts[d]) / float64(h.total)
 }
 
-// CumulativeProbs returns the cumulative distribution as a dense slice:
-// out[d] = Pr[D ≤ d] for d up to the highest non-empty bucket. An empty
-// histogram returns nil (interpret as "all mass at zero"). The slice is a
-// snapshot; later Add/Remove calls do not affect it. Model evaluation uses
-// this to make CDF lookups O(1) inside the K search.
-func (h *Histogram) CumulativeProbs() []float64 {
+// CumulativeProbs writes the cumulative distribution into dst, reusing its
+// capacity, and returns it: out[d] = Pr[D ≤ d] for d up to the highest
+// non-empty bucket. An empty histogram returns dst[:0] (interpret as "all
+// mass at zero"). The slice is a snapshot; later Add/Remove calls do not
+// affect it. Model evaluation uses this to make CDF lookups O(1) inside the
+// K search without allocating once dst has grown to the history's extent.
+func (h *Histogram) CumulativeProbs(dst []float64) []float64 {
 	if h.total == 0 {
-		return nil
+		return dst[:0]
 	}
 	top := h.MaxBucket()
-	out := make([]float64, top+1)
+	out := slices.Grow(dst[:0], top+1)[:top+1]
 	var cum int64
 	for d := 0; d <= top; d++ {
-		if d < len(h.counts) {
-			cum += h.counts[d]
-		}
+		cum += h.counts[d]
 		out[d] = float64(cum) / float64(h.total)
 	}
 	return out

@@ -233,10 +233,12 @@ func (m *Manager) Restore(st State) {
 // Hist returns the delay histogram f_Di of stream i over R^stat_i.
 func (m *Manager) Hist(i int) *hist.Histogram { return m.streams[i].hist }
 
-// CDF returns the cumulative delay distribution of stream i as a dense
-// bucket slice (nil = no delays observed). It makes the Manager an
-// adapt.Source whose model inputs are the raw streams.
-func (m *Manager) CDF(i int) []float64 { return m.streams[i].hist.CumulativeProbs() }
+// CDF writes the cumulative delay distribution of stream i into dst as a
+// dense bucket slice (empty = no delays observed) and returns it. It makes
+// the Manager an adapt.Source whose model inputs are the raw streams.
+func (m *Manager) CDF(i int, dst []float64) []float64 {
+	return m.streams[i].hist.CumulativeProbs(dst)
+}
 
 // HistoryLen returns the current length of R^stat_i in tuples.
 func (m *Manager) HistoryLen(i int) int { return m.streams[i].live() }
