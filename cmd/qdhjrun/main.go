@@ -77,7 +77,7 @@ func main() {
 		staticK   = flag.Float64("k", 0, "buffer size for -policy static (seconds)")
 		strategy  = flag.String("strategy", "noneqsel", "selectivity strategy: eqsel|noneqsel")
 		tree      = flag.Bool("tree", false, "execute as a left-deep binary tree (Sec. V) instead of the single operator")
-		pipelined = flag.Bool("pipelined", false, "execute as the pipelined binary tree (one goroutine per stage)")
+		pipelined = flag.Bool("pipelined", false, "execute the binary tree on its own goroutine behind a channel API (same results and decisions as -tree)")
 		perStage  = flag.Bool("perstage", false, "with -tree/-pipelined: one adaptive K per binary stage instead of Same-K")
 		shards    = flag.Int("shards", 0, "shard budget: parallel workers for the planner / sharded operator")
 		batch     = flag.Int("batch", 0, "columnar release batch size (0 or 1 = per-tuple); results and K trajectory are bit-for-bit identical at any size")

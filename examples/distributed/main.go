@@ -63,8 +63,8 @@ func main() {
 	same := run(0, qdhj.WithTreeAdaptation(opt))
 	per := run(0, qdhj.WithTreeAdaptation(opt), qdhj.WithPerStageK())
 
-	// The pipelined variant accepts the same options; it must agree with the
-	// synchronous tree on the fixed-K reference.
+	// The pipelined variant runs the same tree on its own goroutine behind a
+	// channel API; it must agree with the synchronous tree exactly.
 	pipe := qdhj.NewPipelinedTreeJoin(cond, windows, maxDelay, 512)
 	var piped int64
 	done := make(chan struct{})

@@ -1,17 +1,34 @@
-// The generalized plan-tree executor: where Tree hard-codes the left-deep
-// spine of Sec. V (stage j = streams [0..j] ⋈ raw stream j+1), PlanTree
-// executes an arbitrary binary deployment shape over the input streams —
-// the shapes internal/plan's deployment planner emits. Both sides of a
-// stage may be sub-plans (bushy trees), and any stage whose cross
-// predicates carry an equi or band key may be *sharded*: its two windows
-// are key-partitioned across N worker goroutines, with no broadcast route,
-// which is how a star-shaped condition without a full key class still runs
-// fully partitioned (each binary stage always has a usable key).
+// Package dist executes an m-way MSWJ as a tree of binary join operators —
+// the distributed deployment shape of Sec. V of the paper. PlanTree executes
+// any binary deployment shape over the input streams: the left-deep spine of
+// Sec. V (Spine), where stage j joins the partials over streams [0..j] with
+// raw stream j+1, as well as the bushy and stage-sharded shapes
+// internal/plan's deployment planner emits. Every raw input passes through
+// its own K-slack buffer before entering the stage it feeds, and every
+// stage is fronted by its own Synchronizer (Alg. 1 with m = 2).
+//
+// A partial result carries, besides the constituent tuples, an expiration
+// deadline
+//
+//	D = min_i (e_i.ts + W_i)
+//
+// — the logical time at which its earliest constituent falls out of its
+// window. Expiring and probing by D rather than by the partial's (maximum)
+// timestamp makes every shape produce exactly the results of the single
+// MJoin-style operator whenever the buffers cover the input disorder: a
+// partial is matchable precisely while every constituent is still inside
+// its own window.
+//
+// Both sides of a stage may be sub-plans (bushy trees), and any stage whose
+// cross predicates carry an equi or band key may be *sharded*: its two
+// windows are key-partitioned across N worker goroutines, with no broadcast
+// route, which is how a star-shaped condition without a full key class
+// still runs fully partitioned (each binary stage always has a usable key).
 //
 // # Determinism
 //
-// The driver is push-based and single-threaded, like Tree. A sharded stage
-// keeps the ordering decisions on the driver thread: its Synchronizer,
+// The driver is push-based and single-threaded. A sharded stage keeps the
+// ordering decisions on the driver thread: its Synchronizer,
 // watermark onT and the in-order/out-of-order classification run before
 // routing, and a router-side pair of deadline multisets replays global
 // window membership for the exact stage-local cross size n×(e) (the same
@@ -41,6 +58,124 @@ import (
 	"repro/internal/pq"
 	"repro/internal/stream"
 )
+
+// Partial is one join result as the tree's sink receives it: Parts holds
+// the m constituent tuples in stream order, TS is the maximum constituent
+// timestamp (the MSWJ result timestamp) and Delay the delay annotation of
+// the arrival that produced it.
+type Partial struct {
+	TS    stream.Time
+	Delay stream.Time
+	Parts []*stream.Tuple
+}
+
+// event is one unit of stage input: a released raw tuple or a partial from
+// a child stage, both as m-length constituent assignments.
+type event struct {
+	ts       stream.Time
+	deadline stream.Time // min_i (e_i.ts + W_i) over constituents
+	delay    stream.Time
+	ord      uint64 // stage-local arrival order, breaks timestamp ties
+	key      float64
+	parts    []*stream.Tuple
+}
+
+func eventLess(a, b *event) bool {
+	if a.ts != b.ts {
+		return a.ts < b.ts
+	}
+	return a.ord < b.ord
+}
+
+// prodHookFunc observes one synchronized stage input: the stage index, the
+// event's timestamp and delay annotation, the stage-local cross size n×(e)
+// (live opposing-window entries) and derived-result count n^on(e) for
+// in-order events, or inOrder=false (no probe) for out-of-order ones. It is
+// the tree's equivalent of the MJoin operator's productivity hook, feeding
+// the per-scope Tuple-Productivity Profilers of the feedback loop.
+type prodHookFunc func(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool)
+
+const (
+	sideLeft  = 0
+	sideRight = 1
+)
+
+// pwindow holds the live entries of one stage input: a 4-ary heap ordered
+// by expiration deadline (so expiry pops are O(log n) with no scanning)
+// plus, keyed on the stage's probe key, the shared index structures of
+// internal/index — the open-addressed hash on equi stages, the sorted
+// range index on band-only stages — the same structures the MJoin-style
+// operator's windows use.
+type pwindow struct {
+	heap pq.Heap[*event]
+	idx  *index.Hash[*event]   // nil unless the stage has an equi lookup
+	srt  *index.Sorted[*event] // nil unless the stage is band-only
+	// free, when set, receives every expired event — the stage arena's
+	// recycle hook. Only driver-thread windows set it.
+	free func(*event)
+}
+
+func newPwindow(indexed, banded bool) *pwindow {
+	w := &pwindow{
+		heap: pq.New(func(a, b *event) bool { return a.deadline < b.deadline }),
+	}
+	if indexed {
+		w.idx = index.NewHash[*event]()
+	}
+	if banded {
+		w.srt = &index.Sorted[*event]{}
+	}
+	return w
+}
+
+func (w *pwindow) insert(ev *event) {
+	w.heap.Push(ev)
+	if w.srt != nil {
+		// Sorted.Add skips NaN keys itself; a NaN can never band-match.
+		w.srt.Add(ev.key, ev)
+	}
+	if w.idx == nil {
+		return
+	}
+	// KeyBits reports !ok for NaN, which can never equi-match; such entries
+	// stay out of the index entirely.
+	if k, ok := index.KeyBits(ev.key); ok {
+		w.idx.Add(k, ev)
+	}
+}
+
+// expire removes every entry whose deadline passed: its earliest constituent
+// is no longer inside its window at time t.
+func (w *pwindow) expire(t stream.Time) {
+	for w.heap.Len() > 0 && w.heap.Peek().deadline < t {
+		ev := w.heap.Pop()
+		if w.srt != nil {
+			w.srt.Remove(ev.key, ev)
+		}
+		if w.idx != nil {
+			if k, ok := index.KeyBits(ev.key); ok {
+				w.idx.Remove(k, ev)
+			}
+		}
+		if w.free != nil {
+			w.free(ev)
+		}
+	}
+}
+
+// candidates returns the entries that can match key: the hash bucket on equi
+// stages, every live entry otherwise (heap order; callers re-check the
+// deadline).
+func (w *pwindow) candidates(key float64) []*event {
+	if w.idx != nil {
+		k, ok := index.KeyBits(key)
+		if !ok {
+			return nil
+		}
+		return w.idx.Get(k)
+	}
+	return w.heap.Items()
+}
 
 // Shape describes one node of a binary deployment shape: a leaf naming a
 // raw input stream (Left == Right == nil), or an internal stage joining the
@@ -73,8 +208,8 @@ func (s *Shape) Streams() []int {
 	return join.SortedStreams(out)
 }
 
-// Spine returns the left-deep shape over m streams — the Sec. V tree Tree
-// executes — with no stage sharding.
+// Spine returns the left-deep shape over m streams — the Sec. V tree, stage
+// j joining streams [0..j] with raw stream j+1 — with no stage sharding.
 func Spine(m int) *Shape {
 	node := &Shape{Stream: 0}
 	for s := 1; s < m; s++ {
@@ -172,8 +307,8 @@ type pstage struct {
 	prodHook prodHookFunc
 }
 
-// PlanTree executes one deployment shape. Drive it exactly like Tree: Push
-// raw arrivals from one goroutine, Finish at end of input.
+// PlanTree executes one deployment shape. Push raw arrivals from one
+// goroutine, Finish at end of input.
 type PlanTree struct {
 	cond    *join.Condition
 	windows []stream.Time

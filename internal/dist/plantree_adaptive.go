@@ -1,28 +1,96 @@
-// Adaptive driver for the generalized plan tree: the same feedback runtime
-// that drives AdaptiveTree, with the decision scopes derived from the
-// deployment shape instead of the left-deep spine. Under per-stage
-// adaptation, stage j's scope models the binary join of its two sub-plan
-// inputs, and the shared instant requirement Γ′ composes along root-to-leaf
-// paths: every raw leaf contributes one Γ′^(1/m) factor, charged to the
-// stage whose K-slack buffer governs that leaf. On the spine this charges
-// stage 0 two factors and every other stage one — a refinement of §8's
-// uniform Γ′^(1/n) that extends to shapes where stages govern zero, one or
-// two leaves (DESIGN §9). Stages with no leaf buffer get weight 0: the
-// loop pins their K to 0, since no buffer would apply it — their input
-// jitter is absorbed by the stage Synchronizer instead.
+// Adaptive driver for the plan tree: the extracted feedback runtime
+// (internal/feedback) in the driver seat, closing the gap the paper's
+// Sec. V leaves open — its distributed deployment runs with a fixed Same-K
+// buffer only.
+//
+// Two policies are offered:
+//
+//   - Same-K (default): ONE decision scope spanning all m raw streams,
+//     exactly the MJoin pipeline's quality-driven loop; the chosen K is
+//     applied to every raw-input buffer. The root stage's productivity
+//     records and final-result counts feed the loop.
+//
+//   - Per-stage K (PerStage): one decision scope PER BINARY STAGE. Stage
+//     j's scope models the binary join of its two sub-plan inputs — the
+//     merged delay profiles of each side's raw streams, over each side's
+//     minimum constituent window — fed by the stage's own productivity
+//     records (stage-local selectivity). All scopes decide against one
+//     instant requirement Γ′ derived at the ROOT scope, whose Result-Size
+//     Monitor window sees the final results, and the requirement composes
+//     along root-to-leaf paths: every raw leaf contributes one Γ′^(1/m)
+//     factor, charged to the stage whose K-slack buffer governs that leaf.
+//     On the spine this charges stage 0 two factors and every other stage
+//     one (DESIGN §8/§9). Stages with no leaf buffer get weight 0: the
+//     loop pins their K to 0, since no buffer would apply it — their input
+//     jitter is absorbed by the stage Synchronizer instead.
 package dist
 
 import (
+	"repro/internal/adapt"
 	"repro/internal/feedback"
 	"repro/internal/join"
+	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
+// AdaptiveConfig configures a tree feedback loop.
+type AdaptiveConfig struct {
+	// Adapt carries Γ, P, L, b, g and the selectivity strategy.
+	Adapt adapt.Config
+	// PerStage selects one decision scope per binary stage; default is the
+	// global Same-K scope.
+	PerStage bool
+	// Policy builds each scope's buffer-size policy; default is the
+	// model-based quality-driven policy.
+	Policy feedback.PolicyFactory
+	// StatsOpts customizes the Statistics Manager.
+	StatsOpts []stats.Option
+	// InitialK is the buffer size until the first decision.
+	InitialK stream.Time
+	// OnDecide optionally observes every decision (boundary time and the
+	// chosen per-scope Ks; the slice is reused — copy to retain).
+	OnDecide func(at stream.Time, ks []stream.Time)
+}
+
+// feedRouter routes stage productivity records into the loop. Under Same-K
+// only the root stage feeds the single scope — its arrivals derive the
+// final results, mirroring the MJoin operator's hook; under per-stage every
+// stage feeds its own scope. Root-stage in-order result counts also feed
+// the Result-Size Monitor: an in-order arrival's results all carry its own
+// timestamp (no buffered candidate can exceed the stage watermark), so
+// ObserveResult(ts, n^on) records exactly the per-result stream.
+type feedRouter struct {
+	loop     *feedback.Loop
+	perStage bool
+	root     int
+}
+
+func (r *feedRouter) route(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool) {
+	if stage == r.root && inOrder && nOn > 0 {
+		r.loop.ObserveResult(ts, nOn)
+	}
+	scope := stage
+	if !r.perStage {
+		if stage != r.root {
+			return
+		}
+		scope = 0
+	}
+	if inOrder {
+		r.loop.RecordInOrder(scope, delay, nCross, nOn)
+	} else {
+		r.loop.RecordOutOfOrder(scope, delay)
+	}
+}
+
 // AdaptivePlanTree is the plan-tree executor with the quality-driven
-// feedback loop in the driver seat. Unlike AdaptivePipelined, decisions
-// stay deterministic even with sharded stages: every boundary quiesces the
-// stage workers first (SyncBarrier), so the profilers see exactly the
-// records a single-threaded run would have fed them.
+// feedback loop in the driver seat: every raw arrival feeds the Statistics
+// Manager, stage productivity and final results feed the profilers and the
+// Result-Size Monitor, and at every adaptation-interval boundary the loop
+// re-decides the buffer size(s). Decisions stay deterministic even with
+// sharded stages: every boundary quiesces the stage workers first
+// (SyncBarrier), so the profilers see exactly the records a single-threaded
+// run would have fed them.
 type AdaptivePlanTree struct {
 	t       *PlanTree
 	loop    *feedback.Loop
@@ -67,7 +135,6 @@ func NewAdaptivePlanTree(cond *join.Condition, windows []stream.Time, shape *Sha
 	}
 	if cfg.PerStage {
 		fcfg.Scopes, fcfg.ScopeWeights = planScopes(t)
-		fcfg.SharedRequirement = true
 	}
 	loop := feedback.New(fcfg)
 	a := &AdaptivePlanTree{
@@ -128,8 +195,10 @@ func (a *AdaptivePlanTree) Tree() *PlanTree { return a.t }
 // Loop exposes the feedback runtime (read-only use by callers).
 func (a *AdaptivePlanTree) Loop() *feedback.Loop { return a.loop }
 
-// BufferedDelaySum returns the aggregate buffered delay the run paid; see
-// AdaptiveTree.BufferedDelaySum.
+// BufferedDelaySum returns Σ over adaptation intervals of Σ over the m
+// raw-input buffers of the applied K: the aggregate buffered delay the run
+// paid. Per-stage K exists to make this strictly smaller than Same-K's on
+// asymmetric-delay inputs.
 func (a *AdaptivePlanTree) BufferedDelaySum() float64 { return a.sumBufK }
 
 // BufferedTuples returns the leaf-buffer occupancy (see

@@ -1,13 +1,13 @@
 package dist
 
 import (
-	"repro/internal/leakcheck"
 	"testing"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/leakcheck"
 	"repro/internal/oracle"
 	"repro/internal/stream"
 )
@@ -20,10 +20,10 @@ func adaptWorkload(seed int64, n int, delayMax [3]stream.Time) (stream.Batch, []
 	return gen.SparseEqui3(n, seed, 300, delayMax), []stream.Time{w, w, w}
 }
 
-// runAdaptiveTree drives one adaptive synchronous tree over the workload.
-func runAdaptiveTree(t *testing.T, in stream.Batch, windows []stream.Time, cfg AdaptiveConfig) *AdaptiveTree {
+// runAdaptiveSpine drives one adaptive left-deep spine over the workload.
+func runAdaptiveSpine(t *testing.T, in stream.Batch, windows []stream.Time, cfg AdaptiveConfig) *AdaptivePlanTree {
 	t.Helper()
-	at := NewAdaptiveTree(join.EquiChain(3, 0), windows, cfg, nil)
+	at := NewAdaptivePlanTree(join.EquiChain(3, 0), windows, Spine(3), cfg, nil)
 	for _, e := range in.Clone() {
 		at.Push(e)
 	}
@@ -34,7 +34,7 @@ func runAdaptiveTree(t *testing.T, in stream.Batch, windows []stream.Time, cfg A
 var testAdapt = adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second}
 
 // TestTreeAdaptationMeetsRecallTarget: with Same-K adaptation enabled, the
-// tree on a disordered 3-way workload meets the configured recall target
+// spine on a disordered 3-way workload meets the configured recall target
 // within tolerance, matching the single-operator pipeline's recall on the
 // same input.
 func TestTreeAdaptationMeetsRecallTarget(t *testing.T) {
@@ -46,7 +46,7 @@ func TestTreeAdaptationMeetsRecallTarget(t *testing.T) {
 		t.Fatal("degenerate workload: no true results")
 	}
 
-	at := runAdaptiveTree(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
+	at := runAdaptiveSpine(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
 	treeRecall := float64(at.Results()) / float64(truth)
 
 	p := core.New(core.Config{Windows: windows, Cond: join.EquiChain(3, 0), Adapt: testAdapt})
@@ -69,9 +69,10 @@ func TestTreeAdaptationMeetsRecallTarget(t *testing.T) {
 
 // TestPerStageKDivergesOnAsymmetricDelays: with asymmetric per-stream
 // disorder (streams 0 and 1 nearly ordered, stream 2 heavily delayed), the
-// per-stage policy decides a much smaller K for stage 0 than for stage 1,
-// pays a strictly smaller total buffered delay than Same-K, and still meets
-// the recall target.
+// per-stage policy decides a much smaller K for stage 0 than for stage 1 —
+// even though stage 0 decides against the tighter Γ′^(2/3) and stage 1
+// against Γ′^(1/3) — pays a strictly smaller total buffered delay than
+// Same-K, and still meets the recall target.
 func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 	leakcheck.Check(t)
 	in, windows := adaptWorkload(5, 6000, [3]stream.Time{120, 120, 3000})
@@ -81,8 +82,8 @@ func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 		t.Fatal("degenerate workload: no true results")
 	}
 
-	same := runAdaptiveTree(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
-	per := runAdaptiveTree(t, in, windows, AdaptiveConfig{Adapt: testAdapt, PerStage: true})
+	same := runAdaptiveSpine(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
+	per := runAdaptiveSpine(t, in, windows, AdaptiveConfig{Adapt: testAdapt, PerStage: true})
 
 	sameRecall := float64(same.Results()) / float64(truth)
 	perRecall := float64(per.Results()) / float64(truth)
@@ -108,47 +109,11 @@ func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 	}
 }
 
-// TestAdaptivePipelinedProducesSaneResults: the pipelined adaptive driver
-// (best-effort decision timing) still produces a recall near the target and
-// takes decisions.
-func TestAdaptivePipelinedProducesSaneResults(t *testing.T) {
-	leakcheck.Check(t)
-	in, windows := adaptWorkload(7, 4000, [3]stream.Time{2000, 2000, 2000})
-	cond := join.EquiChain(3, 0)
-	truth := oracle.TrueResults(cond, windows, in).Total()
-
-	ap := NewAdaptivePipelined(join.EquiChain(3, 0), windows, AdaptiveConfig{Adapt: testAdapt, PerStage: true}, 256)
-	var got int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range ap.Results() {
-			got++
-		}
-	}()
-	for _, e := range in.Clone() {
-		ap.Push(e)
-	}
-	ap.Close()
-	<-done
-	ap.Wait()
-
-	recall := float64(got) / float64(truth)
-	t.Logf("pipelined per-stage: truth=%d got=%d recall=%.4f decisions=%d", truth, got, recall, ap.Loop().Decisions())
-	if recall < testAdapt.Gamma-0.05 {
-		t.Errorf("pipelined adaptive recall %.4f far below target %.2f", recall, testAdapt.Gamma)
-	}
-	if ap.Loop().Decisions() == 0 {
-		t.Error("no adaptation steps ran")
-	}
-	if ap.BufferedDelaySum() <= 0 {
-		t.Error("buffered-delay sum not tracked")
-	}
-}
-
 // TestTreeLifecyclePanics: Push-after-Finish and double-Finish panic on the
-// synchronous tree; Push-after-Close and double-Close panic on the
-// pipelined one (DESIGN.md §3 lifecycle conventions, matching Join).
+// synchronous spine and on the adaptive spine built on it (DESIGN.md §3
+// lifecycle conventions, matching Join). The pipelined tree's
+// Push-after-Close and double-Close panics are checked on
+// qdhj.PipelinedTreeJoin, which now wraps this spine.
 func TestTreeLifecyclePanics(t *testing.T) {
 	leakcheck.Check(t)
 	mustPanic := func(name string, f func()) {
@@ -162,24 +127,19 @@ func TestTreeLifecyclePanics(t *testing.T) {
 	}
 	w := []stream.Time{stream.Second, stream.Second}
 
-	tr := NewTree(join.EquiChain(2, 0), w, 0, nil)
+	tr := NewPlanTree(join.EquiChain(2, 0), w, Spine(2), 0, nil)
 	tr.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 	tr.Finish()
-	mustPanic("Tree.Push after Finish", func() {
+	mustPanic("spine Push after Finish", func() {
 		tr.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
 	})
-	mustPanic("Tree.Finish twice", tr.Finish)
+	mustPanic("spine Finish twice", tr.Finish)
 
-	p := NewPipelined(join.EquiChain(2, 0), w, 0, 16)
-	go func() {
-		for range p.Results() {
-		}
-	}()
-	p.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-	p.Close()
-	p.Wait()
-	mustPanic("Pipelined.Push after Close", func() {
-		p.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
+	at := NewAdaptivePlanTree(join.EquiChain(2, 0), w, Spine(2), AdaptiveConfig{Adapt: testAdapt, PerStage: true}, nil)
+	at.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+	at.Finish()
+	mustPanic("adaptive spine Push after Finish", func() {
+		at.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
 	})
-	mustPanic("Pipelined.Close twice", p.Close)
+	mustPanic("adaptive spine Finish twice", at.Finish)
 }

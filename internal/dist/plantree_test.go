@@ -2,15 +2,40 @@ package dist
 
 import (
 	"fmt"
-	"repro/internal/leakcheck"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/join"
 	"repro/internal/kslack"
+	"repro/internal/leakcheck"
 	"repro/internal/stream"
 	"repro/internal/syncer"
 )
+
+// workload builds an m-stream equi feed with bounded disorder.
+func workload(m, rounds int, seed int64, domain int) stream.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	var out stream.Batch
+	var seq uint64
+	ts := stream.Time(3000)
+	for i := 0; i < rounds; i++ {
+		ts += 10
+		for src := 0; src < m; src++ {
+			t := ts
+			if rng.Intn(4) == 0 {
+				t -= stream.Time(rng.Intn(2000))
+			}
+			out = append(out, &stream.Tuple{TS: t, Seq: seq, Src: src,
+				Attrs: []float64{float64(rng.Intn(domain)), float64(rng.Intn(100))}})
+			seq++
+		}
+	}
+	return out
+}
+
+func clone(in stream.Batch) stream.Batch { return in.Clone() }
 
 // sig renders a result's identity: one src:seq pair per constituent, in
 // stream order.
@@ -108,6 +133,152 @@ func TestPlanTreeSpineAgreesWithMJoin(t *testing.T) {
 		want := mjoinMultiset(mk(), w, maxD, clone(in))
 		got := planMultiset(mk(), w, Spine(3), maxD, clone(in))
 		diffMultisets(t, "spine/"+name, want, got)
+	}
+}
+
+// spineAgrees runs mk() on the left-deep spine with buffers covering the
+// feed's disorder and checks its result multiset against the flat
+// reference.
+func spineAgrees(t *testing.T, mk func() *join.Condition, w []stream.Time, in stream.Batch) {
+	t.Helper()
+	maxD, _ := in.MaxDelay()
+	want := mjoinMultiset(mk(), w, maxD, clone(in))
+	diffMultisets(t, t.Name(), want, planMultiset(mk(), w, Spine(len(w)), maxD, clone(in)))
+}
+
+func TestTreeAgreesWithMJoin2Way(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition { return join.EquiChain(2, 0) },
+		[]stream.Time{stream.Second, stream.Second}, workload(2, 2000, 1, 10))
+}
+
+func TestTreeAgreesWithMJoin3Way(t *testing.T) {
+	leakcheck.Check(t)
+	w := []stream.Time{2 * stream.Second, 2 * stream.Second, 2 * stream.Second}
+	spineAgrees(t, func() *join.Condition { return join.EquiChain(3, 0) }, w, workload(3, 1200, 2, 200))
+	if n := NewPlanTree(join.EquiChain(3, 0), w, Spine(3), 0, nil).Operators(); n != 2 {
+		t.Fatalf("Operators = %d, want 2", n)
+	}
+}
+
+// Unequal window extents exercise the per-constituent deadline: a partial
+// must expire when its EARLIEST constituent leaves its own (possibly small)
+// window, not when the partial's max timestamp does.
+func TestTreeAgreesWithMJoinUnequalWindows(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition { return join.EquiChain(3, 0) },
+		[]stream.Time{500, 2 * stream.Second, stream.Second}, workload(3, 1000, 3, 50))
+}
+
+// Band predicates are evaluated as residual filters at the stage where
+// they become fully bound; the spine must agree with the central operator's
+// range-index execution result for result. The equi on attr 0 runs the
+// indexed path with the band (attr 1, values 0..99, eps 7) as residual.
+func TestTreeBandPredicate(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition { return join.Cross(2).Equi(0, 0, 1, 0).Band(0, 1, 1, 1, 7) },
+		[]stream.Time{stream.Second, stream.Second}, workload(2, 1500, 9, 40))
+}
+
+// TestTreePureBandPredicate runs a band-only condition through the sorted
+// range index of the stage windows.
+func TestTreePureBandPredicate(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition { return join.Cross(2).Band(0, 1, 1, 1, 12) },
+		[]stream.Time{500, 500}, workload(2, 900, 10, 5))
+}
+
+// TestTreeBandChain3Way drives band-only stages whose *left* inputs are
+// partial results, exercising the sorted range index on both stage sides
+// (insert, expire, probe).
+func TestTreeBandChain3Way(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition { return join.Cross(3).Band(0, 1, 1, 1, 9).Band(1, 1, 2, 1, 9) },
+		[]stream.Time{400, 400, 400}, workload(3, 700, 21, 5))
+}
+
+// A generic (non-equi) predicate forces the cross-join scan path of the
+// stage windows.
+func TestTreeGenericPredicate(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgrees(t, func() *join.Condition {
+		return join.Cross(2).Where([]int{0, 1}, func(a []*stream.Tuple) bool {
+			return math.Abs(a[0].Attr(1)-a[1].Attr(1)) < 10
+		})
+	}, []stream.Time{300, 300}, workload(2, 800, 4, 5))
+}
+
+// TestTreeSealsCondition: mutating a condition after compiling it into a
+// tree must panic — the stage plans would silently ignore the predicate.
+func TestTreeSealsCondition(t *testing.T) {
+	leakcheck.Check(t)
+	cond := join.Cross(3).Band(0, 1, 1, 1, 9)
+	NewPlanTree(cond, []stream.Time{100, 100, 100}, Spine(3), 0, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mutating a tree-compiled condition must panic")
+		}
+	}()
+	cond.Band(1, 1, 2, 1, 9)
+}
+
+func TestSinkReceivesCompleteResults(t *testing.T) {
+	leakcheck.Check(t)
+	var got []Partial
+	tree := NewPlanTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, Spine(2),
+		2*stream.Second, func(p Partial) { got = append(got, p) })
+	tree.Push(&stream.Tuple{TS: 1000, Seq: 0, Src: 0, Attrs: []float64{7}})
+	tree.Push(&stream.Tuple{TS: 1100, Seq: 1, Src: 1, Attrs: []float64{7}})
+	tree.Finish()
+	if len(got) != 1 {
+		t.Fatalf("sink saw %d results, want 1", len(got))
+	}
+	r := got[0]
+	if r.TS != 1100 || len(r.Parts) != 2 || r.Parts[0].Src != 0 || r.Parts[1].Src != 1 {
+		t.Fatalf("bad result %+v", r)
+	}
+}
+
+// A NaN join attribute must neither match anything nor crash index
+// maintenance when the entry expires (regression: remove() used to panic on
+// the unreachable NaN map key).
+func TestNaNKeyNeverMatchesNorCrashes(t *testing.T) {
+	leakcheck.Check(t)
+	tree := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, Spine(2), 0, nil)
+	tree.Push(&stream.Tuple{TS: 10, Seq: 0, Src: 0, Attrs: []float64{math.NaN()}})
+	tree.Push(&stream.Tuple{TS: 20, Seq: 1, Src: 1, Attrs: []float64{math.NaN()}})
+	tree.Push(&stream.Tuple{TS: 500, Seq: 2, Src: 0, Attrs: []float64{1}})
+	tree.Push(&stream.Tuple{TS: 510, Seq: 3, Src: 1, Attrs: []float64{1}})
+	tree.Finish()
+	if tree.Results() != 1 {
+		t.Fatalf("results = %d, want 1 (NaN pair must not match)", tree.Results())
+	}
+}
+
+// TestSetKPropagates: with K = 0 the disordered feed loses results; raising
+// K to cover the disorder mid-stream must start recovering them.
+func TestSetKPropagates(t *testing.T) {
+	leakcheck.Check(t)
+	in := workload(2, 1500, 6, 5)
+	maxD, _ := in.MaxDelay()
+	w := []stream.Time{stream.Second, stream.Second}
+	run := func(k, raiseTo stream.Time) int64 {
+		tree := NewPlanTree(join.EquiChain(2, 0), w, Spine(2), k, nil)
+		for i, e := range clone(in) {
+			if i == len(in)/4 && raiseTo > 0 {
+				tree.SetK(raiseTo)
+			}
+			tree.Push(e)
+		}
+		tree.Finish()
+		return tree.Results()
+	}
+	full, none, raised := run(maxD, 0), run(0, 0), run(0, maxD)
+	if none >= full {
+		t.Fatalf("K=0 should lose results: %d vs %d", none, full)
+	}
+	if raised <= none {
+		t.Fatalf("raising K should recover results: %d vs %d", raised, none)
 	}
 }
 
@@ -214,7 +385,8 @@ func TestPlanTreeShapeValidation(t *testing.T) {
 	}
 }
 
-// TestPlanTreeLifecyclePanics mirrors the Tree lifecycle conventions.
+// TestPlanTreeLifecyclePanics: Push-after-Finish and double-Finish panic
+// (DESIGN.md §3 lifecycle conventions, matching Join).
 func TestPlanTreeLifecyclePanics(t *testing.T) {
 	leakcheck.Check(t)
 	pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, Spine(2), 0, nil)

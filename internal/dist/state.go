@@ -67,7 +67,6 @@ func eventRec(ev *event, tt *fault.TupleTable) fault.EventRec {
 		Delay:    ev.delay,
 		Ord:      ev.ord,
 		Key:      ev.key,
-		Right:    tt.ID(ev.right),
 	}
 	if ev.parts != nil {
 		r.Parts = make([]int32, len(ev.parts))
@@ -86,7 +85,6 @@ func recEvent(r fault.EventRec, ta *fault.TupleArena) *event {
 		delay:    r.Delay,
 		ord:      r.Ord,
 		key:      r.Key,
-		right:    ta.Tuple(r.Right),
 	}
 	if r.Parts != nil {
 		ev.parts = make([]*stream.Tuple, len(r.Parts))

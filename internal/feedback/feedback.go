@@ -6,12 +6,12 @@
 // adaptation-interval boundary schedule.
 //
 // A decision scope is one "choose a K" problem. The single MJoin operator
-// has exactly one scope — the global Same-K of Theorem 1 — while the
-// left-deep binary tree of Sec. V can give every binary stage its own scope:
-// stage j decides K_j from the delay profiles of its two inputs (the merged
-// left subtree streams and the raw right stream) and its stage-local
-// selectivity snapshot, against an instant requirement Γ′ derived once at
-// the root scope, whose monitor window sees the final results.
+// has exactly one scope — the global Same-K of Theorem 1 — while a binary
+// tree (Sec. V) can give every binary stage its own scope: stage j decides
+// K_j from the delay profiles of its two inputs (the merged streams of each
+// side) and its stage-local selectivity snapshot, against a share of an
+// instant requirement Γ′ derived once at the root scope, whose monitor
+// window sees the final results.
 //
 // The driving protocol is narrow and push-based, mirroring what
 // core.Pipeline did inline before the extraction:
@@ -42,7 +42,7 @@ import (
 // Scope declares one decision scope: Groups[i] lists the raw streams merged
 // into model input i, Windows[i] the window extent of that input. The global
 // Same-K scope has one singleton group per raw stream; a binary tree stage
-// has two groups — the left subtree's streams and the right raw stream.
+// has two groups — the raw streams of each of its two sides.
 type Scope struct {
 	Groups  [][]int
 	Windows []stream.Time
@@ -106,23 +106,19 @@ type Config struct {
 	StatsOpts []stats.Option
 	// Scopes lists the decision scopes; default is the single global scope.
 	// The LAST scope is the root: its profiler snapshot estimates the true
-	// size of the *final* output, feeding the monitor ring and, under
-	// SharedRequirement, the Γ′ derivation every scope decides against —
-	// order the scopes so the output-producing one comes last (a left-deep
-	// tree's stage order already does).
+	// size of the *final* output, feeding the monitor ring and, with
+	// ScopeWeights, the Γ′ derivation every scope decides against — order
+	// the scopes so the output-producing one comes last (a plan tree's
+	// post-order stage list already does).
 	Scopes []Scope
-	// SharedRequirement derives Γ′ once at the root scope and passes it to
-	// every scope's model (per-stage mode). When false each scope's policy
-	// derives its own requirement — the single-scope behaviour.
-	SharedRequirement bool
-	// ScopeWeights assigns each scope its exponent w_i in the shared-
-	// requirement decomposition: scope i decides against Γ′^w_i, so the
-	// composed recall ∏_i Γ′^w_i meets Γ′ whenever the weights sum to 1.
-	// Nil selects the uniform spine decomposition w_i = 1/n of DESIGN §8. A
-	// zero weight marks a scope that governs no raw-input buffer (an inner
-	// stage of a bushy tree): its decision is skipped and its K pinned to 0,
-	// since no buffer would apply it. Length must match Scopes; only
-	// meaningful under SharedRequirement.
+	// ScopeWeights selects the shared-requirement decomposition (per-stage
+	// mode): Γ′ is derived once at the root scope and scope i decides
+	// against Γ′^w_i, so the composed recall ∏_i Γ′^w_i meets Γ′ whenever
+	// the weights sum to 1. A zero weight marks a scope that governs no
+	// raw-input buffer (an inner stage of a bushy tree): its decision is
+	// skipped and its K pinned to 0, since no buffer would apply it. Nil
+	// lets the single scope's policy derive its own requirement; it is
+	// required with more than one scope, and its length must match Scopes.
 	ScopeWeights []float64
 	// InitialK is the buffer size reported before the first decision.
 	InitialK stream.Time
@@ -185,6 +181,9 @@ func New(cfg Config) *Loop {
 	}
 	if len(cfg.Scopes) == 0 {
 		cfg.Scopes = []Scope{GlobalScope(cfg.Windows)}
+	}
+	if len(cfg.Scopes) > 1 && cfg.ScopeWeights == nil {
+		panic("feedback: several decision scopes need ScopeWeights — per-scope requirements only compose into Γ′ through them")
 	}
 	if cfg.ScopeWeights != nil && len(cfg.ScopeWeights) != len(cfg.Scopes) {
 		panic("feedback: ScopeWeights length must match Scopes")
@@ -307,22 +306,18 @@ func (l *Loop) DecideAt(at, outT stream.Time) []stream.Time {
 		sc.prof.Reset()
 	}
 	rootSnap := l.snaps[l.root]
-	if l.cfg.SharedRequirement && l.scopes[l.root].model != nil {
+	if l.cfg.ScopeWeights != nil && l.scopes[l.root].model != nil {
 		gp := l.scopes[l.root].model.InstantRequirement(rootSnap)
 		// A final result must survive every stage, and stage losses are
 		// (approximately) independent, so requirements compose
 		// multiplicatively: each scope meets Γ′^w_i and the product meets
-		// Γ′ when Σ w_i = 1. The default is the uniform spine decomposition
-		// w_i = 1/n; plan-built trees pass explicit weights charging each
-		// stage the Γ′^(1/m) factors of the raw leaves its buffers govern
-		// (DESIGN §9). Nearly-ordered stages reach their tightened target
-		// almost for free; deciding every stage against the raw Γ′ instead
-		// would compound to ≈ Γ′ⁿ end to end.
+		// Γ′ when Σ w_i = 1. Plan trees pass weights charging each stage the
+		// Γ′^(1/m) factors of the raw leaves its buffers govern (DESIGN §9).
+		// Nearly-ordered stages reach their tightened target almost for
+		// free; deciding every stage against the raw Γ′ instead would
+		// compound to ≈ Γ′ⁿ end to end.
 		for i, sc := range l.scopes {
-			w := 1 / float64(len(l.scopes))
-			if l.cfg.ScopeWeights != nil {
-				w = l.cfg.ScopeWeights[i]
-			}
+			w := l.cfg.ScopeWeights[i]
 			switch {
 			case w == 0:
 				// No raw buffer applies this scope's K; deciding would only

@@ -169,3 +169,28 @@ func TestModelDecideZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsUnweightedScopes: several decision scopes compose into one
+// requirement only through ScopeWeights, so New must reject them missing
+// or of the wrong length.
+func TestNewRejectsUnweightedScopes(t *testing.T) {
+	w := []stream.Time{stream.Second, stream.Second, stream.Second}
+	stage := func(left []int, right int) Scope {
+		return Scope{Groups: [][]int{left, {right}}, Windows: []stream.Time{stream.Second, stream.Second}}
+	}
+	scopes := []Scope{stage([]int{0}, 1), stage([]int{0, 1}, 2)}
+	for name, weights := range map[string][]float64{
+		"missing":    nil,
+		"mismatched": {1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s weights: New must panic", name)
+				}
+			}()
+			New(Config{Windows: w, Adapt: adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
+				Scopes: scopes, ScopeWeights: weights})
+		}()
+	}
+}

@@ -1,9 +1,10 @@
 // Package leakcheck fails tests that leak goroutines. Every executor in
 // this codebase that starts goroutines (the shard runtime, plan-tree stage
-// workers, the pipelined spine, the async stats feeder) owns their
-// lifetime: Finish/Close/Abandon must leave none behind — including after
-// contained worker failures, where drain-mode workers still have to exit
-// when their channels close. Tests register Check(t) before starting any
+// workers, the pipelined tree's goroutine, the async stats feeder) owns
+// their lifetime: Finish/Close/Abandon/Wait must leave none behind —
+// including after contained worker failures, where drain-mode workers
+// still have to exit when their channels close, and after a panic on the
+// pipelined tree's goroutine. Tests register Check(t) before starting any
 // concurrent join.
 package leakcheck
 

@@ -180,7 +180,7 @@ func ShardedFlat(cond *join.Condition, windows []stream.Time, n int) *Graph {
 }
 
 // Spine returns the unsharded left-deep tree over the streams in their
-// natural order — the Sec. V deployment shape qdhj.NewTreeJoin executes.
+// natural order — the Sec. V deployment shape.
 func Spine(cond *join.Condition, windows []stream.Time) *Graph {
 	check(cond, windows)
 	order := make([]int, cond.M)
@@ -197,6 +197,25 @@ func spineOver(order []int) Node {
 		n = Stage{Left: n, Right: Leaf{Stream: s}}
 	}
 	return n
+}
+
+// SpineShape reports whether the graph is the unsharded left-deep spine in
+// natural stream order — the shape Spine builds.
+func SpineShape(g *Graph) bool {
+	n := g.Root
+	for s := g.Cond.M - 1; s >= 1; s-- {
+		st, ok := n.(Stage)
+		if !ok {
+			return false
+		}
+		r, ok := st.Right.(Leaf)
+		if !ok || r.Stream != s {
+			return false
+		}
+		n = st.Left
+	}
+	l, ok := n.(Leaf)
+	return ok && l.Stream == 0
 }
 
 func check(cond *join.Condition, windows []stream.Time) {

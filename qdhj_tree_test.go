@@ -1,15 +1,35 @@
 package qdhj
 
 import (
-	"repro/internal/leakcheck"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
+	"repro/internal/stream"
 )
 
 // feed3 builds a 3-stream equi workload with per-stream disorder bounds.
 func feed3(n int, seed int64, delayMax [3]Time) []*Tuple {
 	return gen.SparseEqui3(n, seed, 200, delayMax)
+}
+
+func diffSigSets(t *testing.T, want, got map[string]int) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: no results")
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("result %s count %d, want %d", k, got[k], v)
+		}
+	}
+	for k, v := range got {
+		if want[k] != v {
+			t.Fatalf("unexpected result %s ×%d", k, v)
+		}
+	}
 }
 
 func mustPanicT(t *testing.T, name string, f func()) {
@@ -168,4 +188,177 @@ func TestDecideHookWithoutAdaptationPanics(t *testing.T) {
 	mustPanicT(t, "PipelinedTreeJoin hook without adaptation", func() {
 		NewPipelinedTreeJoin(EquiChain(2, 0), []Time{Second, Second}, 0, 16, hook)
 	})
+}
+
+// TestTreeJoinPerStageMatchesTreePlan pins "one tree engine": the public
+// per-stage TreeJoin and NewJoin with the planner's "tree" shape run the
+// same executor under the same Γ′ path weights, so they agree on the result
+// multiset, the K trajectory (the decide hook's per-stage Ks against the
+// adapt hook's maximum) and the number of adaptations.
+func TestTreeJoinPerStageMatchesTreePlan(t *testing.T) {
+	leakcheck.Check(t)
+	in := feed3(4000, 9, [3]Time{100, 100, 2500})
+	w := []Time{2 * Second, 2 * Second, 2 * Second}
+	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
+
+	treeSet := map[string]int{}
+	var treeTraj []string
+	tree := NewTreeJoin(EquiChain(3, 0), w, 0, func(r TreeResult) { treeSet[faultResultSig(Result{Tuples: r.Tuples})]++ },
+		WithTreeAdaptation(opt), WithPerStageK(),
+		WithTreeDecideHook(func(at Time, ks []Time) {
+			treeTraj = append(treeTraj, fmt.Sprintf("%d:%d", at, max(ks[0], ks[1])))
+		}))
+	for _, e := range cloneBatch(in) {
+		tree.Push(e)
+	}
+	tree.Close()
+
+	cond := EquiChain(3, 0)
+	p, err := ParsePlan("tree", cond, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planSet := map[string]int{}
+	var planTraj []string
+	j := NewJoin(cond, w, opt, WithPlan(p),
+		WithResults(func(r Result) { planSet[faultResultSig(r)]++ }),
+		WithAdaptHook(func(ev AdaptEvent) { planTraj = append(planTraj, fmt.Sprintf("%d:%d", ev.Now, ev.NewK)) }))
+	for _, e := range cloneBatch(in) {
+		j.Push(e)
+	}
+	j.Close()
+
+	diffSigSets(t, planSet, treeSet)
+	if tree.Adaptations() == 0 || tree.Adaptations() != j.Adaptations() {
+		t.Fatalf("adaptations: tree %d, plan %d", tree.Adaptations(), j.Adaptations())
+	}
+	for i := range planTraj {
+		if treeTraj[i] != planTraj[i] {
+			t.Fatalf("decision %d: tree %s, plan %s", i, treeTraj[i], planTraj[i])
+		}
+	}
+	if got, want := fmt.Sprint(tree.CurrentKs()), fmt.Sprint(j.CurrentKs()); got != want {
+		t.Fatalf("final Ks: tree %s, plan %s", got, want)
+	}
+}
+
+// TestPipelinedTreeJoinMatchesTreeJoin: the pipelined variant runs the
+// synchronous tree on its own goroutine, so under every buffer-sizing mode
+// it reproduces TreeJoin's result multiset, full K trajectory and
+// BufferedDelaySum.
+func TestPipelinedTreeJoinMatchesTreeJoin(t *testing.T) {
+	leakcheck.Check(t)
+	in := feed3(4000, 7, [3]Time{150, 150, 2000})
+	maxD, _ := stream.Batch(in).MaxDelay()
+	w := []Time{2 * Second, 2 * Second, 2 * Second}
+	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
+	type trace struct {
+		set  map[string]int
+		ks   []string
+		last []Time // the final decision
+		sum  float64
+	}
+	for _, tc := range []struct {
+		name string
+		k    Time
+		opts []TreeOption
+	}{
+		{"fixed", maxD, nil},
+		{"same-k", 0, []TreeOption{WithTreeAdaptation(opt)}},
+		{"per-stage", 0, []TreeOption{WithTreeAdaptation(opt), WithPerStageK()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func(tr *trace) []TreeOption {
+				if tc.opts == nil {
+					return nil
+				}
+				return append(tc.opts[:len(tc.opts):len(tc.opts)], WithTreeDecideHook(func(at Time, ks []Time) {
+					tr.ks = append(tr.ks, fmt.Sprint(at, ks))
+					tr.last = append(tr.last[:0], ks...)
+				}))
+			}
+			sync := trace{set: map[string]int{}}
+			j := NewTreeJoin(EquiChain(3, 0), w, tc.k, func(r TreeResult) { sync.set[faultResultSig(Result{Tuples: r.Tuples})]++ }, opts(&sync)...)
+			for _, e := range cloneBatch(in) {
+				j.Push(e)
+			}
+			j.Close()
+			sync.sum = j.BufferedDelaySum()
+
+			piped := trace{set: map[string]int{}}
+			p := NewPipelinedTreeJoin(EquiChain(3, 0), w, tc.k, 64, opts(&piped)...)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for r := range p.Results() {
+					piped.set[faultResultSig(Result{Tuples: r.Tuples})]++
+				}
+			}()
+			for _, e := range cloneBatch(in) {
+				p.Push(e)
+			}
+			p.Close()
+			<-done
+			p.Wait()
+			piped.sum = p.BufferedDelaySum()
+
+			diffSigSets(t, sync.set, piped.set)
+			if tc.opts != nil && len(sync.ks) == 0 {
+				t.Fatal("no adaptation steps ran")
+			}
+			if got, want := strings.Join(piped.ks, ";"), strings.Join(sync.ks, ";"); got != want {
+				t.Fatalf("K trajectory differs:\npipelined %s\ntree      %s", got, want)
+			}
+			if got, want := fmt.Sprint(piped.last), fmt.Sprint(j.CurrentKs()); tc.opts != nil && got != want {
+				t.Fatalf("final Ks: pipelined %s, tree CurrentKs %s", got, want)
+			}
+			if piped.sum != sync.sum {
+				t.Fatalf("BufferedDelaySum: pipelined %v, tree %v", piped.sum, sync.sum)
+			}
+		})
+	}
+}
+
+// TestPipelinedTreeJoinPanicReachesWait: a panic on the tree goroutine — here
+// a Where predicate failing on its 200th call — must not be swallowed. The
+// results produced before it are delivered, Results closes, Push keeps
+// returning, no goroutine leaks, and Wait re-raises the original value
+// exactly where the synchronous TreeJoin would have panicked from Push.
+func TestPipelinedTreeJoinPanicReachesWait(t *testing.T) {
+	leakcheck.Check(t)
+	failure := fmt.Errorf("predicate failed")
+	calls := 0
+	cond := EquiChain(2, 0).Where([]int{0, 1}, func([]*Tuple) bool {
+		if calls++; calls == 200 {
+			panic(failure)
+		}
+		return true
+	})
+	in := feed(1500, 5)
+	maxD, _ := stream.Batch(in).MaxDelay()
+	p := NewPipelinedTreeJoin(cond, []Time{Second, Second}, maxD, 16)
+	got := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range p.Results() {
+			got++
+		}
+	}()
+	for _, e := range in {
+		p.Push(e)
+	}
+	p.Close()
+	<-done
+	func() {
+		defer func() {
+			if r := recover(); r != failure {
+				t.Fatalf("Wait panicked with %v, want the predicate's panic value", r)
+			}
+		}()
+		p.Wait()
+	}()
+	if got != 199 {
+		t.Fatalf("got %d results before the failure, want 199", got)
+	}
 }

@@ -1,10 +1,8 @@
 package qdhj
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/dist"
 	"repro/internal/feedback"
-	"repro/internal/plan"
 )
 
 // TreeJoin is an m-way join executed as a left-deep tree of binary join
@@ -18,10 +16,13 @@ import (
 // buffers until the first decision): one global Same-K decision exactly
 // like Join's, or — with WithPerStageK — one K per binary stage, chosen
 // from that stage's two input delay profiles and stage-local selectivity
-// against the recall requirement derived at the tree root.
+// against its share of the recall requirement derived at the tree root.
+//
+// TreeJoin runs the plan-tree engine on the spine: with WithPerStageK it
+// makes exactly the decisions of NewJoin(..., WithPlan(ParsePlan("tree"))).
 type TreeJoin struct {
-	t  *dist.Tree         // static-K run
-	at *dist.AdaptiveTree // adaptive run (t == nil)
+	t  *dist.PlanTree
+	at *dist.AdaptivePlanTree // adaptive driver of t; nil on fixed-K runs
 }
 
 // TreeResult is one result of a TreeJoin: the constituent tuples in stream
@@ -56,9 +57,12 @@ func WithTreeAdaptation(opt Options) TreeOption {
 // WithPerStageK gives every binary tree stage its own decision scope: stage
 // j's K is chosen from the delay profiles of its two inputs (the merged
 // left-subtree streams and raw stream j+1) and the stage-local selectivity
-// snapshot, against the instant requirement Γ′ derived at the tree root.
-// On asymmetric-delay inputs this buys strictly less total buffered delay
-// than the global Same-K for the same recall target (DESIGN.md §8).
+// snapshot. The instant requirement Γ′ derived at the tree root composes
+// along root-to-leaf paths: each raw stream contributes one Γ′^(1/m)
+// factor to the stage whose buffer it enters, so stage 0 (two raw inputs)
+// decides against Γ′^(2/m) and every other stage against Γ′^(1/m). On
+// asymmetric-delay inputs this buys strictly less total buffered delay
+// than the global Same-K for the same recall target (DESIGN.md §8/§9).
 // Implies WithTreeAdaptation with default Options unless one is given.
 func WithPerStageK() TreeOption {
 	return func(o *treeOpts) {
@@ -86,12 +90,8 @@ func (o *treeOpts) validate() {
 
 // adaptiveConfig maps the qdhj Options onto the dist adaptation config.
 func (o *treeOpts) adaptiveConfig(initialK Time) dist.AdaptiveConfig {
-	opt := *o.adapt
-	if opt.Gamma == 0 {
-		opt.Gamma = 0.95
-	}
 	var pf feedback.PolicyFactory
-	switch opt.Policy {
+	switch o.adapt.Policy {
 	case MaxSlack:
 		pf = feedback.MaxKPolicy()
 	case NoSlack:
@@ -102,15 +102,7 @@ func (o *treeOpts) adaptiveConfig(initialK Time) dist.AdaptiveConfig {
 		pf = feedback.ModelPolicy()
 	}
 	return dist.AdaptiveConfig{
-		Adapt: adapt.Config{
-			Gamma:    opt.Gamma,
-			P:        opt.Period,
-			L:        opt.Interval,
-			B:        opt.BasicWindow,
-			G:        opt.Granularity,
-			Strategy: opt.Strategy,
-			Search:   opt.Search,
-		},
+		Adapt:    execConfig(*o.adapt, &joinOpts{}).Adapt,
 		PerStage: o.perStage,
 		Policy:   pf,
 		InitialK: initialK,
@@ -122,8 +114,8 @@ func (o *treeOpts) adaptiveConfig(initialK Time) dist.AdaptiveConfig {
 // every input stream — fixed for the whole run unless a WithTreeAdaptation
 // or WithPerStageK option enables the feedback loop.
 //
-// The deployment shape is the plan layer's left-deep spine; for bushy
-// shapes or stage-wise sharding, plan explicitly and run through
+// The deployment shape is the left-deep spine; for bushy shapes or
+// stage-wise sharding, plan explicitly and run through
 // NewJoin(..., WithPlan(p)).
 func NewTreeJoin(cond *Condition, windows []Time, k Time, emit func(TreeResult), opts ...TreeOption) *TreeJoin {
 	var o treeOpts
@@ -137,11 +129,12 @@ func NewTreeJoin(cond *Condition, windows []Time, k Time, emit func(TreeResult),
 			emit(TreeResult{TS: p.TS, Delay: p.Delay, Tuples: p.Parts})
 		}
 	}
-	g := plan.Spine(cond, windows)
+	spine := dist.Spine(len(windows))
 	if o.adapt != nil {
-		return &TreeJoin{at: plan.BuildSpineAdaptive(g, o.adaptiveConfig(k), sink)}
+		at := dist.NewAdaptivePlanTree(cond, windows, spine, o.adaptiveConfig(k), sink)
+		return &TreeJoin{t: at.Tree(), at: at}
 	}
-	return &TreeJoin{t: plan.BuildSpineStatic(g, k, sink)}
+	return &TreeJoin{t: dist.NewPlanTree(cond, windows, spine, k, sink)}
 }
 
 // Push feeds a raw arrival. Pushing into a closed tree panics.
@@ -155,17 +148,17 @@ func (j *TreeJoin) Push(t *Tuple) {
 
 // SetK changes the common buffer size on all streams. On an adaptive tree
 // the feedback loop overrides it at the next interval boundary.
-func (j *TreeJoin) SetK(k Time) { j.tree().SetK(k) }
+func (j *TreeJoin) SetK(k Time) { j.t.SetK(k) }
 
 // Close flushes all buffers at end of input. Closing twice panics, as does
 // pushing afterwards.
-func (j *TreeJoin) Close() { j.tree().Finish() }
+func (j *TreeJoin) Close() { j.t.Finish() }
 
 // Results returns the number of results produced so far.
-func (j *TreeJoin) Results() int64 { return j.tree().Results() }
+func (j *TreeJoin) Results() int64 { return j.t.Results() }
 
 // Operators returns the number of binary join operators in the tree.
-func (j *TreeJoin) Operators() int { return j.tree().Operators() }
+func (j *TreeJoin) Operators() int { return j.t.Operators() }
 
 // Adaptations returns the number of buffer-size decisions taken (0 without
 // adaptation).
@@ -198,92 +191,95 @@ func (j *TreeJoin) BufferedDelaySum() float64 {
 	return j.at.BufferedDelaySum()
 }
 
-func (j *TreeJoin) tree() *dist.Tree {
-	if j.at != nil {
-		return j.at.Tree()
-	}
-	return j.t
-}
-
-// PipelinedTreeJoin runs the same binary tree with one goroutine per
-// operator, connected by channels. The same TreeOptions apply; with
-// adaptation enabled, decisions are taken on the ingest goroutine from the
-// records stage goroutines have delivered so far (best-effort rather than
-// deterministic — see dist.AdaptivePipelined), and buffer-size changes
-// travel in-band through the stage channels.
+// PipelinedTreeJoin runs a TreeJoin on its own goroutine behind a channel
+// API: Push hands arrivals to the tree goroutine and Results delivers the
+// results as they are produced. The tree is exactly the one NewTreeJoin
+// builds with the same options, so results, K decisions and
+// BufferedDelaySum are deterministic and identical to the synchronous
+// run's; only the producer is decoupled from the join work, and a
+// WithTreeDecideHook callback runs on the tree goroutine. For multicore
+// tree execution plan a stage-sharded tree instead:
+// NewJoin(..., WithPlan(ParsePlan("tree-shard:N", ...))).
 type PipelinedTreeJoin struct {
-	p  *dist.Pipelined
-	ap *dist.AdaptivePipelined
+	j      *TreeJoin
+	in     chan *Tuple
+	out    chan TreeResult
+	done   chan struct{} // closed when the tree goroutine has exited
+	closed bool
+	// failure is the recovered panic value of the tree goroutine (a
+	// panicking Where predicate, say); Wait re-raises it. Written before
+	// done closes, read after.
+	failure any
 }
 
-// NewPipelinedTreeJoin creates the pipelined variant with channel buffers of
-// the given size (≤0 selects a default).
+// NewPipelinedTreeJoin creates the pipelined variant with input and result
+// channels of the given size (≤0 selects a default).
 func NewPipelinedTreeJoin(cond *Condition, windows []Time, k Time, buffer int, opts ...TreeOption) *PipelinedTreeJoin {
-	var o treeOpts
-	for _, op := range opts {
-		op(&o)
+	if buffer <= 0 {
+		buffer = 256
 	}
-	o.validate()
-	g := plan.Spine(cond, windows)
-	if o.adapt != nil {
-		return &PipelinedTreeJoin{ap: plan.BuildSpinePipelinedAdaptive(g, o.adaptiveConfig(k), buffer)}
+	// Both channels are buffered so the producer and the result consumer
+	// each run up to buffer items ahead of the tree goroutine instead of
+	// handing off in lockstep on every tuple.
+	p := &PipelinedTreeJoin{
+		in:   make(chan *Tuple, buffer),
+		out:  make(chan TreeResult, buffer),
+		done: make(chan struct{}),
 	}
-	return &PipelinedTreeJoin{p: plan.BuildSpinePipelined(g, k, buffer)}
+	p.j = NewTreeJoin(cond, windows, k, func(r TreeResult) { p.out <- r }, opts...)
+	go p.run()
+	return p
+}
+
+// run is the tree goroutine. A panic ends the run: it is recorded for Wait,
+// and Results closes so the consumer's drain loop ends.
+func (p *PipelinedTreeJoin) run() {
+	defer close(p.done)
+	defer close(p.out)
+	defer func() {
+		p.failure = recover()
+	}()
+	for t := range p.in {
+		p.j.Push(t)
+	}
+	p.j.Close()
 }
 
 // Push feeds a raw arrival from the single producer goroutine. Pushing
-// after Close panics.
-func (j *PipelinedTreeJoin) Push(t *Tuple) {
-	if j.ap != nil {
-		j.ap.Push(t)
-		return
+// after Close panics. Once the tree goroutine has panicked, arrivals are
+// discarded and Wait re-raises the panic.
+func (p *PipelinedTreeJoin) Push(t *Tuple) {
+	if p.closed {
+		panic("qdhj: Push on a closed PipelinedTreeJoin — Close ended the input and the tree is flushing; build a new PipelinedTreeJoin")
 	}
-	j.p.Push(t)
+	select {
+	case p.in <- t:
+	case <-p.done:
+	}
 }
 
 // Close signals end of input. Closing twice panics.
-func (j *PipelinedTreeJoin) Close() {
-	if j.ap != nil {
-		j.ap.Close()
-		return
+func (p *PipelinedTreeJoin) Close() {
+	if p.closed {
+		panic("qdhj: Close on a closed PipelinedTreeJoin — the input has already ended; build a new PipelinedTreeJoin for another run")
 	}
-	j.p.Close()
+	p.closed = true
+	close(p.in)
 }
 
 // Results returns the result channel; drain it until it closes.
-func (j *PipelinedTreeJoin) Results() <-chan TreeResult {
-	in := j.rawResults()
-	out := make(chan TreeResult, 64)
-	go func() {
-		defer close(out)
-		for p := range in {
-			out <- TreeResult{TS: p.TS, Delay: p.Delay, Tuples: p.Parts}
-		}
-	}()
-	return out
-}
+func (p *PipelinedTreeJoin) Results() <-chan TreeResult { return p.out }
 
-func (j *PipelinedTreeJoin) rawResults() <-chan dist.Partial {
-	if j.ap != nil {
-		return j.ap.Results()
+// Wait blocks until the tree goroutine has exited; call after draining
+// Results. If the tree panicked — where the synchronous TreeJoin would have
+// panicked from Push — Wait panics with the same value.
+func (p *PipelinedTreeJoin) Wait() {
+	<-p.done
+	if p.failure != nil {
+		panic(p.failure)
 	}
-	return j.p.Results()
-}
-
-// Wait blocks until all pipeline stages exit; call after draining Results.
-func (j *PipelinedTreeJoin) Wait() {
-	if j.ap != nil {
-		j.ap.Wait()
-		return
-	}
-	j.p.Wait()
 }
 
 // BufferedDelaySum returns the aggregate buffered delay; see
 // TreeJoin.BufferedDelaySum. Call after Wait.
-func (j *PipelinedTreeJoin) BufferedDelaySum() float64 {
-	if j.ap == nil {
-		return 0
-	}
-	return j.ap.BufferedDelaySum()
-}
+func (p *PipelinedTreeJoin) BufferedDelaySum() float64 { return p.j.BufferedDelaySum() }
